@@ -291,7 +291,7 @@ class STTCPPrimary:
             if freed and tcb.is_synchronized:
                 # Window may have been pinched by retention overflow;
                 # releasing bytes can reopen it.
-                tcb._maybe_send_window_update(0)
+                tcb._maybe_send_window_update()
         # The reply doubles as the primary→backup heartbeat (§4.3).
         self._send(AckReply(ack.key, ack.ack_seq), source)
 
@@ -469,14 +469,14 @@ class STTCPPrimary:
             for state in self._connections.values():
                 freed = self._release_retained(state)
                 if freed and state.tcb.is_synchronized:
-                    state.tcb._maybe_send_window_update(0)
+                    state.tcb._maybe_send_window_update()
             return
         self.fault_tolerant = False
         self.backup_failed_at = self.sim.now
         for state in self._connections.values():
             state.retention.disable()
             if state.tcb.is_synchronized:
-                state.tcb._maybe_send_window_update(0)
+                state.tcb._maybe_send_window_update()
         self._hb_timer.stop()
         if self.sim.trace.enabled_for("sttcp"):
             self.sim.trace.emit(self.sim.now, "sttcp", "non_fault_tolerant_mode")

@@ -71,10 +71,6 @@ class OutputEngine:
         self._use_template = batch_enabled()
         self._template: Optional[SegmentTemplate] = None
 
-    # -- window advertisement ------------------------------------------------
-    def advertised_window(self) -> int:
-        return min(self.conn.recv_buffer.window(), 0xFFFF)
-
     # -- the sender-side window walk -----------------------------------------
     def try_output(self) -> None:
         """Send whatever the windows currently allow."""
@@ -181,6 +177,10 @@ class OutputEngine:
         if conn.use_timestamps or (flags & FLAG_SYN and conn.config.timestamps):
             ts_val = conn.sim.now
             ts_ecr = conn.last_ts_recv
+        # One window computation per segment: advertised capped to the
+        # 16-bit field, recorded uncapped for the window-update check.
+        window = conn.recv_buffer.window()
+        advertised = window if window < 0xFFFF else 0xFFFF
         if self._use_template:
             template = self._template
             if template is None:
@@ -190,7 +190,7 @@ class OutputEngine:
                 wrap(seq_abs),
                 wrap(conn.rcv_nxt) if flags & FLAG_ACK else 0,
                 flags,
-                self.advertised_window(),
+                advertised,
                 payload,
                 mss_option=mss_option,
                 ts_val=ts_val,
@@ -203,23 +203,23 @@ class OutputEngine:
                 wrap(seq_abs),
                 wrap(conn.rcv_nxt) if flags & FLAG_ACK else 0,
                 flags,
-                self.advertised_window(),
+                advertised,
                 payload,
                 mss_option=mss_option,
                 ts_val=ts_val,
                 ts_ecr=ts_ecr,
             )
         if flags & FLAG_ACK:
-            self._ack_sent_housekeeping()
-        if len(payload) > 0 or flags & (FLAG_SYN | FLAG_FIN):
+            self._ack_sent_housekeeping(window)
+        if segment.payload_length or flags & (FLAG_SYN | FLAG_FIN):
             self.last_data_send_time = conn.sim.now
         self.transmit(segment)
 
-    def _ack_sent_housekeeping(self) -> None:
+    def _ack_sent_housekeeping(self, window: int) -> None:
         self.segments_since_ack = 0
         self.ack_scheduled = False
         self.delack_timer.stop()
-        self.last_advertised_window = self.conn.recv_buffer.window()
+        self.last_advertised_window = window
 
     def transmit(self, segment: TCPSegment) -> None:
         """Hand a built segment to IP — unless an extension vetoes it."""
@@ -280,13 +280,10 @@ class OutputEngine:
         if self.ack_scheduled:
             self.ack_now()
 
-    def maybe_send_window_update(self, window_before: int) -> None:
+    def maybe_send_window_update(self) -> None:
         """After an application read, reopen a closed/shrunken window."""
         conn = self.conn
-        window_now = conn.recv_buffer.window()
         threshold = min(2 * conn.mss, conn.config.rcv_buffer // 2)
-        if (
-            self.last_advertised_window < threshold
-            and window_now - self.last_advertised_window >= threshold
-        ):
+        last = self.last_advertised_window
+        if last < threshold and conn.recv_buffer.window() - last >= threshold:
             self.ack_now()

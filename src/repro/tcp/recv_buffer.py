@@ -42,6 +42,7 @@ class ReceiveBuffer:
         self.capacity = capacity
         self._ready = SpanBuffer()  # head = read pointer, tail = rcv_nxt
         self._out_of_order: List[Tuple[int, ByteSpan]] = []  # sorted, disjoint
+        self._out_of_order_bytes = 0  # running sum over _out_of_order
         self.retention: Optional[RetentionPolicy] = None
         self.bytes_duplicated = 0  # duplicate payload discarded
 
@@ -63,7 +64,7 @@ class ReceiveBuffer:
 
     @property
     def out_of_order_bytes(self) -> int:
-        return sum(len(span) for _, span in self._out_of_order)
+        return self._out_of_order_bytes
 
     def window(self) -> int:
         """Advertised window: free space in the (first) receive buffer.
@@ -71,7 +72,7 @@ class ReceiveBuffer:
         Retained-but-overflowing bytes (ST-TCP second buffer full) continue
         to consume window, per §4.2.
         """
-        used = len(self._ready) + self.out_of_order_bytes
+        used = len(self._ready) + self._out_of_order_bytes
         if self.retention is not None:
             used += self.retention.overflow_bytes()
         return max(self.capacity - used, 0)
@@ -135,6 +136,8 @@ class ReceiveBuffer:
             pieces.append((cursor, span.slice(cursor - start, stop - start)))
         if not pieces:
             return
+        for _, piece in pieces:
+            self._out_of_order_bytes += len(piece)
         merged = self._out_of_order + pieces
         merged.sort(key=lambda item: item[0])
         self._out_of_order = merged
@@ -148,6 +151,7 @@ class ReceiveBuffer:
             if start > rcv_nxt:
                 break
             self._out_of_order.pop(0)
+            self._out_of_order_bytes -= stop - start
             if stop <= rcv_nxt:
                 self.bytes_duplicated += len(span)
                 continue

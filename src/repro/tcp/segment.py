@@ -36,7 +36,12 @@ def _relative(value: int, base: int) -> int:
 
 
 class TCPSegment:
-    """One TCP segment in flight."""
+    """One TCP segment in flight.
+
+    The payload is fixed at construction: ``payload_length`` is set once
+    there (and in :meth:`SegmentTemplate.build`) instead of being
+    recomputed at every hop that asks.
+    """
 
     __slots__ = (
         "src_port",
@@ -46,6 +51,7 @@ class TCPSegment:
         "flags",
         "window",
         "payload",
+        "payload_length",
         "mss_option",
         "ts_val",
         "ts_ecr",
@@ -78,6 +84,7 @@ class TCPSegment:
         self.flags = flags
         self.window = min(window, 0xFFFF)
         self.payload = payload
+        self.payload_length = len(payload)
         self.mss_option = mss_option
         self.ts_val = ts_val
         self.ts_ecr = ts_ecr
@@ -113,10 +120,6 @@ class TCPSegment:
         if self.ts_val is not None:
             size += TIMESTAMP_OPTION_SIZE
         return size
-
-    @property
-    def payload_length(self) -> int:
-        return len(self.payload)
 
     @property
     def size(self) -> int:
@@ -208,6 +211,7 @@ class SegmentTemplate:
         segment.flags = flags
         segment.window = window
         segment.payload = payload
+        segment.payload_length = len(payload)
         segment.mss_option = mss_option
         segment.ts_val = ts_val
         segment.ts_ecr = ts_ecr

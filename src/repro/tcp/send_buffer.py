@@ -62,6 +62,9 @@ class SendBuffer:
         # Concatenations (the app protocol's RealBytes header + synthetic
         # padding) are split into their leaves on BOTH arms so the buffer
         # layout — and with it ``bytes_per_tcb`` — stays arm-invariant.
+        # The span buffer coalesces contiguous pieces of one pattern, so
+        # a synthetic stream written in chunks is held as one piece and
+        # each MSS taken by ``data_range`` is a single slice of it.
         parts = span.parts if isinstance(span, CatBytes) else (span,)
         pool = self._pool
         for part in parts:

@@ -113,7 +113,9 @@ class TCPSocket:
         if max_bytes <= 0:
             event.succeed(EMPTY)
             return event
-        self._readers.append({"kind": "some", "n": max_bytes, "acc": [], "event": event})
+        self._readers.append(
+            {"kind": "some", "n": max_bytes, "acc": [], "got": 0, "event": event}
+        )
         self._pump_readers()
         return event
 
@@ -123,7 +125,7 @@ class TCPSocket:
         if n <= 0:
             event.succeed(EMPTY)
             return event
-        self._readers.append({"kind": "exact", "n": n, "acc": [], "event": event})
+        self._readers.append({"kind": "exact", "n": n, "acc": [], "got": 0, "event": event})
         self._pump_readers()
         return event
 
@@ -164,13 +166,15 @@ class TCPSocket:
     def _pump_readers(self) -> None:
         while self._readers:
             reader = self._readers[0]
-            needed = reader["n"] - sum(len(piece) for piece in reader["acc"])
+            needed = reader["n"] - reader["got"]
             if needed > 0 and self._tcb.readable_bytes > 0:
                 piece = self._tcb.app_read(needed)
                 reader["acc"].append(piece)
-                needed -= len(piece)
+                got = len(piece)
+                reader["got"] += got
+                needed -= got
             if reader["kind"] == "some":
-                if reader["acc"] and len(reader["acc"][0]) > 0 or needed == 0:
+                if reader["got"] or needed == 0:
                     self._finish_reader(reader)
                     continue
                 if self._tcb.eof:
@@ -227,8 +231,7 @@ class TCPSocket:
             while self._readers:
                 reader = self._readers.popleft()
                 if reader["kind"] == "exact":
-                    needed = reader["n"] - sum(len(p) for p in reader["acc"])
-                    if needed:
+                    if reader["got"] < reader["n"]:
                         reader["event"].fail(
                             ConnectionClosed("connection closed during recv_exactly")
                         )

@@ -342,10 +342,9 @@ class TCPConnection:
 
     def app_read(self, max_bytes: int) -> ByteSpan:
         """Pop up to ``max_bytes`` of received in-order data."""
-        before = self.recv_buffer.window()
         span = self.recv_buffer.read(max_bytes)
         if len(span) and self.is_synchronized:
-            self.output.maybe_send_window_update(before)
+            self.output.maybe_send_window_update()
         return span
 
     def app_close(self) -> None:
@@ -385,8 +384,8 @@ class TCPConnection:
         """Process one inbound (or tapped/injected) segment."""
         self.input.on_segment(segment)
 
-    def _maybe_send_window_update(self, window_before: int) -> None:
-        self.output.maybe_send_window_update(window_before)
+    def _maybe_send_window_update(self) -> None:
+        self.output.maybe_send_window_update()
 
     # ------------------------------------------------------------ state exits
     def _enter_time_wait(self) -> None:

@@ -17,7 +17,7 @@ All spans are immutable; slicing returns new spans sharing structure.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 _TABLE_PERIOD = 251  # prime, so patterns don't resonate with power-of-2 MSS
 
@@ -154,13 +154,18 @@ class CatBytes(ByteSpan):
 
     def __init__(self, parts: Sequence[ByteSpan]) -> None:
         flat: List[ByteSpan] = []
+        total = 0
         for part in parts:
             if isinstance(part, CatBytes):
                 flat.extend(part.parts)
-            elif len(part) > 0:
-                flat.append(part)
+                total += part.length
+            else:
+                part_len = len(part)
+                if part_len:
+                    flat.append(part)
+                    total += part_len
         self.parts = _coalesce(flat)
-        self.length = sum(len(part) for part in self.parts)
+        self.length = total
 
     def __len__(self) -> int:
         return self.length
@@ -190,23 +195,33 @@ class CatBytes(ByteSpan):
         return b"".join(part.to_bytes() for part in self.parts)
 
 
+def join_contiguous(left: ByteSpan, right: ByteSpan) -> Optional[ByteSpan]:
+    """``left`` followed by ``right`` as one span, when both are contiguous
+    pieces of one pattern; ``None`` otherwise.
+
+    This is the single coalescing rule for span sequences
+    (:class:`CatBytes` and :class:`~repro.util.spanbuffer.SpanBuffer`).
+    Real bytes never merge: joining them would copy.
+    """
+    if (
+        isinstance(left, PatternBytes)
+        and isinstance(right, PatternBytes)
+        and left.pattern_id == right.pattern_id
+        and left.offset + left.length == right.offset
+    ):
+        return PatternBytes(left.length + right.length, left.offset, left.pattern_id)
+    return None
+
+
 def _coalesce(parts: List[ByteSpan]) -> List[ByteSpan]:
     """Merge adjacent spans that are contiguous pieces of one pattern."""
     merged: List[ByteSpan] = []
     for part in parts:
-        if (
-            merged
-            and isinstance(part, PatternBytes)
-            and isinstance(merged[-1], PatternBytes)
-            and merged[-1].pattern_id == part.pattern_id
-            and merged[-1].offset + merged[-1].length == part.offset
-        ):
-            last = merged[-1]
-            merged[-1] = PatternBytes(
-                last.length + part.length, last.offset, last.pattern_id
-            )
-        else:
+        joined = join_contiguous(merged[-1], part) if merged else None
+        if joined is None:
             merged.append(part)
+        else:
+            merged[-1] = joined
     return merged
 
 

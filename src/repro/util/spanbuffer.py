@@ -2,7 +2,14 @@
 
 Used by the TCP send/receive paths: append spans at the tail, read or
 discard from the head, and take zero-copy slices at arbitrary offsets (for
-retransmission).  All operations are O(pieces touched).
+retransmission).
+
+The length is a running count, so ``len`` is O(1).  ``append`` coalesces
+a span into the tail piece when the two are contiguous pieces of one
+pattern (:func:`~repro.util.bytespan.join_contiguous`), so the buffer
+holds one piece per maximal run of such spans: a synthetic stream
+written or received one MSS at a time stays a single piece, and reads
+and slices of it touch that one piece.  Real bytes are never merged.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Union
 
-from repro.util.bytespan import EMPTY, ByteSpan, as_span, concat
+from repro.util.bytespan import EMPTY, ByteSpan, CatBytes, as_span, join_contiguous
 
 
 class SpanBuffer:
@@ -38,10 +45,16 @@ class SpanBuffer:
 
     def append(self, data: Union[ByteSpan, bytes]) -> None:
         span = as_span(data)
-        if len(span) == 0:
+        length = len(span)
+        if not length:
             return
-        self._pieces.append(span)
-        self._length += len(span)
+        pieces = self._pieces
+        joined = join_contiguous(pieces[-1], span) if pieces else None
+        if joined is None:
+            pieces.append(span)
+        else:
+            pieces[-1] = joined
+        self._length += length
 
     def pop_front(self, count: int) -> ByteSpan:
         """Remove and return the first ``count`` bytes (clamped to length)."""
@@ -62,7 +75,7 @@ class SpanBuffer:
                 remaining = 0
         self._length -= count
         self.head_offset += count
-        return concat(taken)
+        return taken[0] if len(taken) == 1 else CatBytes(taken)
 
     def discard_front(self, count: int) -> None:
         """Drop the first ``count`` bytes without materialising them."""
@@ -104,7 +117,7 @@ class SpanBuffer:
             hi = min(piece_len, rel_stop - position)
             picked.append(piece.slice(lo, hi))
             position += piece_len
-        return concat(picked)
+        return picked[0] if len(picked) == 1 else CatBytes(picked)
 
     def peek_front(self, count: int) -> ByteSpan:
         """Zero-copy view of the first ``count`` bytes (clamped)."""

@@ -161,3 +161,59 @@ def test_prop_reassembly_matches_reference_stream(data):
     assert advanced_total == total
     assert buffer.read(total).to_bytes() == stream.to_bytes()
     assert buffer.out_of_order_bytes == 0
+
+
+_STREAM = PatternBytes(2000, 0, 3)
+_STREAM_BYTES = _STREAM.to_bytes()
+
+
+def _held_runs(buffer):
+    return sum(len(span) for _, span in buffer._out_of_order)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 300),
+    st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("insert"),
+                st.integers(-40, 400),  # start, relative to rcv_nxt
+                st.integers(0, 120),  # length
+                st.booleans(),  # real bytes or a pattern span
+            ),
+            st.tuples(st.just("read"), st.integers(0, 150)),
+        ),
+        max_size=60,
+    ),
+)
+def test_prop_running_counts_match_recomputation(capacity, ops):
+    """Inserts with overlaps, duplicates and data past the window, mixed
+    with reads: the running out-of-order count equals the sum over the
+    held runs, ``window()`` equals its formula recomputed from scratch,
+    and the bytes read are the reference stream."""
+    buffer = ReceiveBuffer(capacity)
+    delivered = b""
+    for op in ops:
+        if op[0] == "insert":
+            _, relative, length, real = op
+            start = max(0, buffer.rcv_nxt_offset + relative)
+            stop = min(start + length, len(_STREAM))
+            if stop <= start:
+                continue
+            span = (
+                RealBytes(_STREAM_BYTES[start:stop]) if real else _STREAM.slice(start, stop)
+            )
+            before = buffer.rcv_nxt_offset
+            advanced = buffer.insert(start, span)
+            assert buffer.rcv_nxt_offset == before + advanced
+        else:
+            delivered += buffer.read(op[1]).to_bytes()
+        assert buffer.out_of_order_bytes == _held_runs(buffer)
+        used = len(buffer._ready) + _held_runs(buffer)
+        assert buffer.window() == max(capacity - used, 0)
+        assert used <= capacity
+        assert delivered == _STREAM_BYTES[: len(delivered)]
+        assert buffer.read_offset == len(delivered)
+    delivered += buffer.read(capacity).to_bytes()
+    assert delivered == _STREAM_BYTES[: buffer.rcv_nxt_offset]

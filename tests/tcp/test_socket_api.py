@@ -1,11 +1,14 @@
 """Socket API semantics: event contracts of send/recv/close."""
 
+import random
+
 import pytest
 
-from repro.errors import ConnectionReset
+from repro.errors import ConnectionClosed, ConnectionReset
 from repro.sim.simulator import Simulator
 from repro.tcp.config import TCPConfig
-from repro.util.bytespan import PatternBytes
+from repro.tcp.constants import DEFAULT_MSS
+from repro.util.bytespan import PatternBytes, RealBytes
 from repro.util.units import KB
 
 from tests.conftest import LanPair
@@ -155,3 +158,77 @@ def test_addresses_exposed():
     assert client.remote_address == (lan.ip_b, 8000)
     assert server.local_address == (lan.ip_b, 8000)
     assert server.remote_address[0] == lan.ip_a
+
+
+def _stream(kind, size, seed):
+    """``size`` bytes of either real random data or a synthetic pattern."""
+    if kind == "real":
+        return RealBytes(random.Random(seed).randbytes(size))
+    return PatternBytes(size, 0, 5)
+
+
+@pytest.mark.parametrize("kind", ["real", "pattern"])
+def test_recv_exactly_accumulates_many_segments(kind):
+    """A 64 KiB read fed one MSS at a time: the reader's running byte
+    count must land exactly on the request, with every byte in place."""
+    lan = LanPair(Simulator(seed=159))
+    client, server = connected_pair(lan)
+    payload = _stream(kind, 64 * KB, 159)
+    outcome = {}
+
+    def reader():
+        data = yield client.recv_exactly(64 * KB)
+        outcome["data"] = data.to_bytes()
+
+    def writer():
+        yield server.send(payload)
+
+    process = lan.a.spawn(reader())
+    lan.b.spawn(writer())
+    lan.sim.run_until_complete(process, deadline=30.0)
+    assert outcome["data"] == payload.to_bytes()
+    assert client.tcb.segments_received >= 40
+
+
+@pytest.mark.parametrize("kind", ["real", "pattern"])
+def test_recv_returns_all_buffered_segments_at_once(kind):
+    """One ``recv`` over 42 MSS segments already reassembled in the
+    receive buffer returns them all, exactly."""
+    config = TCPConfig(snd_buffer=64 * KB, rcv_buffer=64 * KB)
+    lan = LanPair(Simulator(seed=160), tcp_config=config)
+    client, server = connected_pair(lan)
+    size = 42 * DEFAULT_MSS
+    payload = _stream(kind, size, 160)
+    before = client.tcb.segments_received
+    server.send(payload)
+    lan.sim.run(until=lan.sim.now + 1.0)
+    assert client.tcb.readable_bytes == size
+    assert client.tcb.segments_received - before >= 42
+    event = client.recv(64 * KB)
+    assert event.triggered
+    assert event.value.to_bytes() == payload.to_bytes()
+
+
+def test_recv_exactly_reports_missing_bytes_at_eof():
+    """EOF after 3 of 5 KB arrived over several segments and pumps."""
+    lan = LanPair(Simulator(seed=161))
+    client, server = connected_pair(lan)
+    outcome = {}
+
+    def reader():
+        try:
+            yield client.recv_exactly(5000)
+        except ConnectionClosed as error:
+            outcome["error"] = str(error)
+
+    def writer():
+        yield server.send(PatternBytes(1000, 0, 5))
+        yield lan.sim.timeout(0.01)
+        yield server.send(PatternBytes(2000, 1000, 5))
+        yield lan.sim.timeout(0.01)
+        server.close()
+
+    process = lan.a.spawn(reader())
+    lan.b.spawn(writer())
+    lan.sim.run_until_complete(process, deadline=10.0)
+    assert outcome["error"] == "peer closed with 2000 of 5000 bytes missing"

@@ -1,7 +1,7 @@
 """Tests and property checks for the FIFO span buffer."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.bytespan import PatternBytes, RealBytes
@@ -180,3 +180,96 @@ def test_prop_peek_absolute_matches_reference(pieces, a, b):
         buffer.append(piece)
     lo, hi = sorted((min(a, len(reference)), min(b, len(reference))))
     assert buffer.peek_absolute(lo, hi).to_bytes() == reference[lo:hi]
+
+
+# An appended span: ("real", bytes) or ("pattern", length, pattern_id, offset
+# or None to continue the previous piece of that pattern contiguously).
+_append_op = st.one_of(
+    st.tuples(st.just("real"), st.binary(min_size=1, max_size=12)),
+    st.tuples(
+        st.just("pattern"),
+        st.integers(1, 40),
+        st.sampled_from([1, 2]),
+        st.one_of(st.none(), st.integers(0, 600)),
+    ),
+)
+_buffer_op = st.one_of(
+    _append_op,
+    st.tuples(st.sampled_from(["pop", "discard"]), st.integers(0, 60)),
+    st.tuples(st.just("peek"), st.integers(0, 100), st.integers(0, 100)),
+)
+
+
+def _expected_runs(model):
+    """Maximal runs of contiguous same-pattern spans in the model, where
+    each real span is a run of its own."""
+    runs = 0
+    previous = None
+    for entry in model:
+        if not (
+            previous is not None
+            and entry[0] == "pattern"
+            and previous[0] == "pattern"
+            and previous[1] == entry[1]
+            and previous[2] + previous[3] == entry[2]
+        ):
+            runs += 1
+        previous = entry
+    return runs
+
+
+@settings(max_examples=200)
+@given(st.lists(_buffer_op, max_size=40))
+def test_prop_coalescing_buffer_matches_reference(ops):
+    """Mixed real/pattern appends (some contiguous, some not, some of
+    another pattern) then pops, discards and peeks: content and length
+    follow a plain byte string, and the buffer holds exactly one piece
+    per maximal contiguous same-pattern run -- real bytes never merge."""
+    buffer = SpanBuffer()
+    reference = b""
+    head = 0
+    model = []  # live appended spans as (kind, pattern_id, offset, length)
+    next_offset = {}
+    for op in ops:
+        kind = op[0]
+        if kind == "real":
+            buffer.append(RealBytes(op[1]))
+            reference += op[1]
+            model.append(("real", None, 0, len(op[1])))
+        elif kind == "pattern":
+            _, length, pattern_id, offset = op
+            if offset is None:
+                offset = next_offset.get(pattern_id, 0)
+            span = PatternBytes(length, offset, pattern_id)
+            next_offset[pattern_id] = offset + length
+            buffer.append(span)
+            reference += span.to_bytes()
+            model.append(("pattern", pattern_id, offset, length))
+        elif kind == "peek":
+            lo, hi = sorted((min(op[1], len(reference)), min(op[2], len(reference))))
+            view = buffer.peek_absolute(head + lo, head + hi)
+            assert view.to_bytes() == reference[lo:hi]
+        else:
+            count = min(op[1], len(reference))
+            if kind == "pop":
+                assert buffer.pop_front(op[1]).to_bytes() == reference[:count]
+            else:
+                buffer.discard_front(op[1])
+            reference = reference[count:]
+            head += count
+            while count:
+                entry_kind, pattern_id, offset, length = model[0]
+                step = min(count, length)
+                if step == length:
+                    model.pop(0)
+                else:
+                    model[0] = (entry_kind, pattern_id, offset + step, length - step)
+                count -= step
+        assert len(buffer) == len(reference)
+        assert buffer.head_offset == head
+        assert buffer.peek_absolute(head, head + len(reference)).to_bytes() == reference
+        pieces = list(buffer._pieces)
+        assert len(pieces) == _expected_runs(model)
+        assert sum(isinstance(p, RealBytes) for p in pieces) == sum(
+            entry[0] == "real" for entry in model
+        )
