@@ -102,3 +102,11 @@ class ClusterArbiter:
         for done in waiters:
             done()
         self._actuate_next()
+
+    @property
+    def fences_actuated(self) -> bool:
+        """True once the queue has drained and every request that was not
+        coalesced onto another ended in a cut."""
+        return not self._busy and (
+            self.cuts_performed == self.fence_requests - self.requests_coalesced
+        )

@@ -17,6 +17,10 @@ machine, not eyeballed from a log:
   replacement-backup shadow sync must all complete within budgets
   derived from the scenario's own tunables; computed here from the run
   artefacts.
+* **fences actuated** — once the arbiter's queue has drained, every fence
+  request not coalesced onto another ended in a cut.  A crashed primary
+  cannot serve, so a fence that was acknowledged but never actuated
+  shows no dual primary; only the arbiter's counters reveal it.
 """
 
 from __future__ import annotations
@@ -105,6 +109,7 @@ class InvariantReport:
     exactly_once_streams: bool
     bounded_takeover: bool
     bounded_election: bool
+    fences_actuated: bool
     details: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -114,6 +119,7 @@ class InvariantReport:
             and self.exactly_once_streams
             and self.bounded_takeover
             and self.bounded_election
+            and self.fences_actuated
         )
 
     def to_record(self) -> Dict[str, Any]:
@@ -122,6 +128,7 @@ class InvariantReport:
             "exactly_once_streams": self.exactly_once_streams,
             "bounded_takeover": self.bounded_takeover,
             "bounded_election": self.bounded_election,
+            "fences_actuated": self.fences_actuated,
             "all_hold": self.all_hold,
             **self.details,
         }

@@ -203,6 +203,7 @@ class ClusterRun:
             for r in elections.records
             if r.sync_latency is not None
         ]
+        arbiter = self.fabric.arbiter
         invariants = InvariantReport(
             no_dual_primary=not self.monitor.violations,
             exactly_once_streams=not failures and degraded == 0,
@@ -211,6 +212,7 @@ class ClusterRun:
             and not elections.failed
             and elections.all_synced
             and all(lat <= election_budget(config) for lat in sync_latencies),
+            fences_actuated=arbiter.fences_actuated,
             details={
                 "takeover_budget": takeover_budget(config),
                 "election_budget": election_budget(config),
@@ -236,7 +238,6 @@ class ClusterRun:
             if self.tsdb.series(name) is not None
         }
 
-        arbiter = self.fabric.arbiter
         return {
             "scenario": spec.name,
             "primaries": spec.primaries,

@@ -85,6 +85,7 @@ def format_cluster(records: List[Record]) -> str:
                 "exactly_once_streams",
                 "bounded_takeover",
                 "bounded_election",
+                "fences_actuated",
             )
         )
         elections = record["elections"]
@@ -98,7 +99,7 @@ def format_cluster(records: List[Record]) -> str:
                 len(elections),
                 f"{max(syncs) * 1e3:.0f}" if syncs else "-",
                 record["arbiter"]["cuts_performed"],
-                f"{held}/4",
+                f"{held}/5",
                 "OK" if record["ok"] else "FAIL",
             ]
         )

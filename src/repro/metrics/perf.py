@@ -12,13 +12,16 @@ The numbers land in the result store next to each record::
     {"wall_time": ..., "sim_seconds": ..., "events": ...,
      "events_per_sec": ..., "simulations": ...}
 
-giving the first real throughput figures for the simulation kernel.
+giving the first real throughput figures for the simulation kernel,
+next to what the span cost in segment-pool misses and in cycle-collector
+passes (``gc_collections``, ``gc_full_collections``, ``gc_collected``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import gc
 import time
 from typing import Any, Dict, Iterator, Optional, Tuple
 
@@ -32,7 +35,7 @@ _active: "contextvars.ContextVar[Optional[PerfProbe]]" = contextvars.ContextVar(
 class PerfProbe:
     """Wall-clock and simulator-counter accumulator for one tracked span."""
 
-    __slots__ = ("started", "finished", "_sims", "_pool_base")
+    __slots__ = ("started", "finished", "_sims", "_pool_base", "_gc_base")
 
     def __init__(self) -> None:
         self.started = time.perf_counter()
@@ -46,6 +49,8 @@ class PerfProbe:
         # never in hashed records).
         pool = default_pool()
         self._pool_base = (pool.segments_pooled, pool.pool_misses)
+        # The collector's counters are process-cumulative too.
+        self._gc_base = _gc_counters()
 
     def note(self, sim: Any) -> None:
         self._sims[id(sim)] = (sim.events_executed, sim.now)
@@ -76,10 +81,21 @@ class PerfProbe:
             pool.pool_misses - base_misses,
         )
 
+    def gc_deltas(self) -> Tuple[int, int, int]:
+        """(collections, full collections, objects collected) since the
+        probe started."""
+        now = _gc_counters()
+        return (
+            now[0] - self._gc_base[0],
+            now[1] - self._gc_base[1],
+            now[2] - self._gc_base[2],
+        )
+
     def telemetry(self) -> Dict[str, float]:
         wall = self.wall_time
         events = self.events
         segments_pooled, pool_misses = self.pool_deltas()
+        gc_collections, gc_full_collections, gc_collected = self.gc_deltas()
         return {
             "wall_time": wall,
             "sim_seconds": self.sim_seconds,
@@ -88,7 +104,22 @@ class PerfProbe:
             "simulations": self.simulations,
             "segments_pooled": segments_pooled,
             "pool_misses": pool_misses,
+            "gc_collections": gc_collections,
+            "gc_full_collections": gc_full_collections,
+            "gc_collected": gc_collected,
         }
+
+
+def _gc_counters() -> Tuple[int, int, int]:
+    """Process-cumulative (collections, full collections, objects
+    collected) from :func:`gc.get_stats`; the last generation is the
+    full pass."""
+    stats = gc.get_stats()
+    return (
+        sum(gen["collections"] for gen in stats),
+        stats[-1]["collections"],
+        sum(gen["collected"] for gen in stats),
+    )
 
 
 @contextlib.contextmanager

@@ -12,7 +12,6 @@ Two kinds of objects live here:
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
@@ -23,19 +22,17 @@ PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
 PRIORITY_LOW = 2
 
-_handle_ids = itertools.count()
-
 
 class EventHandle:
     """A scheduled callback that can be cancelled before it fires.
 
-    Instances are created by the scheduler; user code only cancels them.
+    Instances are created by the scheduler, which assigns ``seq`` from its
+    own counter; user code only cancels them.
     Cancellation is O(1): the handle is flagged and skipped when popped.
     The scheduler keeps a back-reference (``_sched``) while the handle is
     queued so cancellation can maintain the O(1) live-entry counters, and
     ``_tick`` records which backend holds it (a timing-wheel tick, or -1
-    for the heap).  Handles are recycled through the scheduler's free list
-    once they have fired and no outside reference remains.
+    for the heap).  A fired handle is never reused and keeps its fields.
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "args", "_cancelled", "_sched", "_tick")
@@ -44,16 +41,18 @@ class EventHandle:
         self,
         time: float,
         priority: int,
+        seq: int,
         callback: Callable[..., Any],
         args: tuple,
+        sched: Any,
     ) -> None:
         self.time = time
         self.priority = priority
-        self.seq = next(_handle_ids)
+        self.seq = seq
         self.callback = callback
         self.args = args
         self._cancelled = False
-        self._sched: Any = None
+        self._sched = sched
         self._tick = -1
 
     def cancel(self) -> None:

@@ -18,9 +18,8 @@ so a run is bit-identical whichever backend each event landed in.  The
 differential tests in ``tests/sim/test_timing_wheel.py`` and the grid-hash
 test in ``tests/harness/test_backend_differential.py`` enforce this.
 
-Handles are recycled through a bounded free list once they have fired (or
-were popped cancelled) and no outside reference remains — verified with
-``sys.getrefcount`` so a caller-retained handle is never reused under it.
+Every scheduled callback gets a fresh :class:`EventHandle`; a fired handle
+is never reused and keeps its fields.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import heapq
 import os
 from bisect import insort
 from math import inf
-from sys import getrefcount
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -200,7 +198,7 @@ class TimingWheel:
         """Remove and return the entry :meth:`peek` just found."""
         pos = self._ready_pos
         entry = self._ready[pos]
-        self._ready[pos] = None  # free the entry tuple for handle recycling
+        self._ready[pos] = None  # drop the consumed entry tuple
         self._ready_pos = pos + 1
         self._ready_mut += 1
         self.live -= 1
@@ -301,7 +299,6 @@ class Scheduler:
         "_executed",
         "_heap_live",
         "_seq",
-        "_free",
         "_batch",
         "_batch_hooks",
     )
@@ -312,11 +309,8 @@ class Scheduler:
 
     #: Default wheel tick in seconds.  100 µs splits the paper's testbed
     #: timescales cleanly: frame times land a handful per slot, while TCP
-    #: timers (ms–s) stay well inside the ~7-minute horizon.
+    #: timers (ms–s) stay well inside the ~28-minute horizon.
     WHEEL_RESOLUTION = 1e-4
-
-    #: Recycled EventHandle pool cap.
-    FREE_LIST_MAX = 8192
 
     #: Largest ready-batch tail the slot drain will snapshot.  Bigger
     #: batches fall back to the indexed loop so a pathological slot
@@ -339,7 +333,6 @@ class Scheduler:
         self._executed = 0
         self._heap_live = 0
         self._seq = 0
-        self._free: List[EventHandle] = []
         # Slot-drain dispatch (REPRO_DATAPATH=batch) needs the wheel: the
         # heap backend *is* the per-event reference arm and keeps the old
         # run_next loop verbatim, as does REPRO_DATAPATH=object.
@@ -393,20 +386,9 @@ class Scheduler:
     def _push(
         self, time: float, callback: Callable[..., Any], args: tuple, priority: int
     ) -> EventHandle:
-        free = self._free
-        if free:
-            handle = free.pop()
-            handle.time = time
-            handle.priority = priority
-            handle.callback = callback
-            handle.args = args
-            handle._cancelled = False
-        else:
-            handle = EventHandle(time, priority, callback, args)
         seq = self._seq
-        handle.seq = seq
         self._seq = seq + 1
-        handle._sched = self
+        handle = EventHandle(time, priority, seq, callback, args, self)
         wheel = self._wheel
         if wheel is not None:
             if wheel.live == 0:
@@ -416,7 +398,6 @@ class Scheduler:
                 handle._tick = tick
                 wheel.insert((time, priority, seq, handle), tick)
                 return handle
-        handle._tick = -1
         heapq.heappush(self._heap, handle)
         self._heap_live += 1
         return handle
@@ -439,16 +420,6 @@ class Scheduler:
                 heapq.heapify(live)
                 self._heap = live
 
-    def _recycle(self, handle: EventHandle) -> None:
-        """Return a fired/dead handle to the free list if nothing else
-        holds it (caller owns exactly one reference)."""
-        # 3 == caller's local + our parameter + getrefcount's argument.
-        if len(self._free) < self.FREE_LIST_MAX and getrefcount(handle) == 3:
-            handle.callback = _noop_handle
-            handle.args = ()
-            handle._sched = None
-            self._free.append(handle)
-
     # Inspection ----------------------------------------------------------
     def _heap_head(self) -> Optional[EventHandle]:
         heap = self._heap
@@ -457,7 +428,6 @@ class Scheduler:
             if not head._cancelled:
                 return head
             heapq.heappop(heap)
-            self._recycle(head)
         return None
 
     def _next_handle(self) -> Optional[EventHandle]:
@@ -509,7 +479,6 @@ class Scheduler:
         self._executed += 1
         head._sched = None
         head.callback(*head.args)
-        self._recycle(head)
         return True
 
     def run_until(
@@ -590,10 +559,6 @@ class Scheduler:
             if wheel_head is not None and (heap_head is None or wheel_head < heap_head):
                 if until is not None and wheel_head.time > until:
                     break
-                # Drop this frame's reference so the drain loop's
-                # refcount-gated recycling still sees the batch's first
-                # handle as unreferenced once it has fired.
-                wheel_head = None
                 remaining, stop = self._drain_ready(heap_head, until, remaining, watch)
             else:
                 assert heap_head is not None
@@ -650,10 +615,6 @@ class Scheduler:
         """
         wheel = self._wheel
         assert wheel is not None
-        free = self._free
-        free_len = len(free)
-        free_cap = self.FREE_LIST_MAX
-        getref = getrefcount
         ut = inf if until is None else until
         bt = inf if bound is None else bound.time
         # One compare covers both bounds; the bt tie-break below can only
@@ -697,18 +658,6 @@ class Scheduler:
                     handle._sched = None
                     callback = handle.callback  # named local: the profiler reads it
                     callback(*handle.args)
-                    # Inline _recycle: 3 == the entry tuple + this local +
-                    # getrefcount's argument.  The consumed tuple lingers
-                    # in the batch until it is cleared but is never
-                    # re-read, so reusing its handle under it is safe.
-                    # free_len may go stale if a callback pops the free
-                    # list (recycle skipped: harmless) or a reentrant
-                    # drain appends (soft cap overshoot: harmless).
-                    if free_len < free_cap and getref(handle) == 3:
-                        handle.callback = _noop_handle
-                        handle.args = ()
-                        free.append(handle)
-                        free_len += 1
                     if watch is not None and (watch._done or t >= ut):
                         return remaining, True
                     if wheel._ready_mut != mut:
@@ -740,9 +689,6 @@ class Scheduler:
         assert wheel is not None
         ready = wheel._ready
         pos = wheel._ready_pos
-        free = self._free
-        free_cap = self.FREE_LIST_MAX
-        getref = getrefcount
         while pos < len(ready):
             entry = ready[pos]
             if entry is None:
@@ -770,12 +716,6 @@ class Scheduler:
             handle._sched = None
             callback = handle.callback  # named local: the profiler reads it
             callback(*handle.args)
-            # Inline _recycle: 3 == the entry tuple + this local +
-            # getrefcount's argument (the consumed tuple is never re-read).
-            if len(free) < free_cap and getref(handle) == 3:
-                handle.callback = _noop_handle
-                handle.args = ()
-                free.append(handle)
             if wheel._ready is not ready:
                 ready = wheel._ready
             pos = wheel._ready_pos
@@ -805,18 +745,8 @@ class Scheduler:
         head._sched = None
         callback = head.callback  # named local: the profiler reads it
         callback(*head.args)
-        # Inline _recycle: 3 == the caller's heap_head + our parameter +
-        # getrefcount's argument.
-        if getrefcount(head) == 3 and len(self._free) < self.FREE_LIST_MAX:
-            head.callback = _noop_handle
-            head.args = ()
-            self._free.append(head)
         if watch is not None and (
             watch._done or (until is not None and self._now >= until)
         ):
             return remaining, True
         return remaining, False
-
-
-def _noop_handle(*_args: Any) -> None:
-    return None

@@ -4,11 +4,17 @@ together.
 A single :class:`Simulator` instance owns all mutable simulation state; all
 components (hosts, links, protocols) hold a reference to it.  Time is a
 float in seconds.
+
+While :meth:`Simulator.run` or :meth:`Simulator.run_until_complete` is
+draining the queue, CPython's young-generation collection threshold is
+raised to :data:`DRAIN_GC_THRESHOLD` and restored on exit (see DESIGN.md
+§7, "Collector policy").
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional
+import gc
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import (
@@ -24,6 +30,26 @@ from repro.sim.process import Process
 from repro.sim.randomness import RandomStreams
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Tracer
+
+#: Young-generation (gen0) collection threshold while a drain runs.  Every
+#: reaped connection is cyclic garbage that only the collector frees; at
+#: CPython's default of 700 the 2,000-connection scale rung runs over a
+#: thousand collector passes, ten of them full.  The gen1 and gen2
+#: thresholds are kept.
+DRAIN_GC_THRESHOLD = 50_000
+
+
+def _raise_young_threshold() -> Tuple[int, int, int]:
+    """Raise gen0's threshold for a drain; returns the caller's thresholds.
+
+    Never lowers a higher threshold, and leaves a zero (collection
+    switched off by threshold) as it is.
+    """
+    saved = gc.get_threshold()
+    young = saved[0]
+    if 0 < young < DRAIN_GC_THRESHOLD:
+        gc.set_threshold(DRAIN_GC_THRESHOLD, saved[1], saved[2])
+    return saved
 
 
 class Simulator:
@@ -138,7 +164,11 @@ class Simulator:
     ) -> None:
         """Run events until the queue is empty, ``until`` is reached, or
         ``max_events`` callbacks have executed."""
-        self._scheduler.run_until(until=until, max_events=max_events)
+        saved = _raise_young_threshold()
+        try:
+            self._scheduler.run_until(until=until, max_events=max_events)
+        finally:
+            gc.set_threshold(*saved)
 
     def run_until_complete(
         self, process: Process, deadline: Optional[float] = None
@@ -149,8 +179,18 @@ class Simulator:
         deadline passes while the process is still alive (usually a sign of
         a deadlock in the scenario under test).
         """
-        if self._scheduler._batch:
-            return self._run_until_complete_batched(process, deadline)
+        saved = _raise_young_threshold()
+        try:
+            if self._scheduler._batch:
+                return self._run_until_complete_batched(process, deadline)
+            return self._run_until_complete_object(process, deadline)
+        finally:
+            gc.set_threshold(*saved)
+
+    def _run_until_complete_object(
+        self, process: Process, deadline: Optional[float] = None
+    ) -> Any:
+        """Per-event reference loop of :meth:`run_until_complete`."""
         while not process.triggered:
             if deadline is not None and self.now >= deadline:
                 raise SimulationError(

@@ -86,6 +86,23 @@ def test_sabotaged_arbiter_acknowledges_without_cutting():
     assert done == [True]
     assert arbiter.cuts_performed == 0
     assert arbiter.fence_requests == 1
+    assert not arbiter.fences_actuated
+
+
+def test_fences_actuated_only_once_every_queued_cut_landed():
+    sim, arbiter = make()
+    assert arbiter.fences_actuated  # nothing requested, nothing owed
+    hosts = [FakeHost("p0"), FakeHost("p1")]
+    for host in hosts + hosts[:1]:  # the repeat for p0 coalesces
+        arbiter.cut_power(host)
+    assert not arbiter.fences_actuated  # queued, not yet actuated
+    sim.run(until=0.015)
+    assert arbiter.cuts_performed == 1
+    assert not arbiter.fences_actuated  # p1's cut still in flight
+    sim.run(until=1.0)
+    assert arbiter.requests_coalesced == 1
+    assert arbiter.cuts_performed == 2
+    assert arbiter.fences_actuated
 
 
 def test_queue_drains_in_fifo_order():

@@ -32,6 +32,7 @@ def test_all_invariants_hold(smoke_record):
     assert invariants["exactly_once_streams"]
     assert invariants["bounded_takeover"]
     assert invariants["bounded_election"]
+    assert invariants["fences_actuated"]
     assert smoke_record["ok"]
 
 
@@ -113,8 +114,8 @@ def test_orphan_reelection():
 def test_sabotaged_arbiter_fails_the_run_record():
     # Scenario-level sabotage: requests acked, never actuated.  The crash
     # is real so no dual-primary arises, but the fence never lands and
-    # the gap-recovery path must still converge the takeover; the run
-    # record keeps the sabotage visible either way.
+    # the gap-recovery path must still converge the takeover; the
+    # fences_actuated invariant fails the record on the arbiter's counters.
     record = run(
         {
             "name": "unit-sabotage",
@@ -129,6 +130,10 @@ def test_sabotaged_arbiter_fails_the_run_record():
     assert record["arbiter"]["sabotaged"]
     assert record["arbiter"]["cuts_performed"] == 0
     assert record["arbiter"]["fence_requests"] == 1
+    assert record["invariants"]["no_dual_primary"]
+    assert record["invariants"]["fences_actuated"] is False
+    assert record["invariants"]["all_hold"] is False
+    assert record["ok"] is False
 
 
 def test_single_pair_cluster_matches_paper_shape():

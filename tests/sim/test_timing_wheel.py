@@ -1,15 +1,16 @@
-"""Timing-wheel backend tests: ordering, cascades, recycling, and the
+"""Timing-wheel backend tests: ordering, cascades, fired handles, and the
 randomized heap-vs-wheel differential (the determinism contract)."""
 
+import gc
 import random
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import PRIORITY_LOW, PRIORITY_NORMAL, PRIORITY_URGENT
+from repro.sim.events import PRIORITY_LOW, PRIORITY_NORMAL, PRIORITY_URGENT, EventHandle
 from repro.sim.scheduler import BACKEND_ENV, Scheduler, TimingWheel
 
-#: Default-resolution horizon in seconds (2**22 ticks at 100 µs).
+#: Default-resolution horizon in seconds (2**24 ticks at 100 µs).
 HORIZON_S = TimingWheel.HORIZON_TICKS * Scheduler.WHEEL_RESOLUTION
 
 
@@ -124,10 +125,8 @@ def test_retained_handle_is_never_recycled():
     fired, fire = make_recorder(sched)
     kept = sched.schedule_at(0.001, fire, ("kept",))
     sched.run_until()
-    # We still hold `kept`, so the scheduler must not have pooled it: new
-    # schedules get fresh (or separately pooled) handles, and our fields
-    # stay frozen at the fired values.
-    assert kept not in sched._free
+    # We still hold `kept`: new schedules get fresh handles, and its
+    # fields stay frozen at the fired values.
     assert kept.time == 0.001
     fresh = sched.schedule_at(0.002, fire, ("fresh",))
     assert fresh is not kept
@@ -135,19 +134,43 @@ def test_retained_handle_is_never_recycled():
     assert [tag for _, tag in fired] == ["kept", "fresh"]
 
 
-def test_unreferenced_handles_are_recycled_through_free_list():
-    sched = Scheduler(wheel=True)
+def _live_handles():
+    return sum(1 for obj in gc.get_objects() if type(obj) is EventHandle)
+
+
+def test_fired_handle_is_never_reused_and_keeps_its_fields():
+    for wheel in (True, False):
+        _check_fired_handles(Scheduler(wheel=wheel))
+
+
+def _check_fired_handles(sched):
     fired, fire = make_recorder(sched)
+
+    # Dropped handles are released once fired, not kept for reuse.  Both
+    # backend bands: wheel slots and beyond the horizon.  Collect first so
+    # earlier tests' cyclic garbage cannot be freed between the counts.
+    gc.collect()
+    before = _live_handles()
     for index in range(10):
         sched.schedule_at(index * 1e-4, fire, (index,))  # handle dropped
+    sched.schedule_at(HORIZON_S * 2, fire, ("far",))
     sched.run_until()
-    assert len(fired) == 10
-    pooled = list(sched._free)
-    assert pooled  # fired handles with no outside reference were pooled
-    reused = sched.schedule_at(1.0, fire, ("reused",))
-    assert any(reused is handle for handle in pooled)
+    assert len(fired) == 11
+    assert _live_handles() == before
+
+    # Retained handles keep every field after firing, and later schedules
+    # never hand one of them out again.
+    now = sched.now
+    handles = [sched.schedule_at(now + i * 1e-4, fire, (i,), PRIORITY_LOW) for i in range(10)]
+    handles.append(sched.schedule_at(now + HORIZON_S * 2, fire, ("far",)))
     sched.run_until()
-    assert fired[-1] == (1.0, "reused")
+    fields = [(h.time, h.priority, h.seq, h.callback, h.args) for h in handles]
+    assert fields[3] == (now + 3 * 1e-4, PRIORITY_LOW, 14, fire, (3,))
+    later = [sched.schedule_at(sched.now + 1.0 + i, fire, ("later",)) for i in range(20)]
+    sched.run_until()
+    assert not {id(h) for h in later} & {id(h) for h in handles}
+    assert [(h.time, h.priority, h.seq, h.callback, h.args) for h in handles] == fields
+    assert not any(h.cancelled for h in handles)
 
 
 def test_schedule_in_past_rejected_on_both_backends():
